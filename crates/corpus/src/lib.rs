@@ -13,9 +13,9 @@
 //!       │                         │ claimed by index (lock-free)
 //!       │                 ┌───────┴────────┐
 //!       │            worker 0 …       worker N-1      each owns one
-//!       │            read → tokenize → route → extract  WorkerScratch
+//!       │            read → lex → route → extract       WorkerScratch
 //!       │                 └───────┬────────┘
-//!       ▼                         ▼
+//!       ▼                         ▼ bounded channel
 //!  sidecar (error lines)  ◄─ ReorderSink ─► out (tuple lines, NDJSON)
 //! ```
 //!
@@ -35,9 +35,10 @@
 //!    results_empty + pages_unrouted + read_errors`; every non-tuple
 //!    page produces an error line. Nothing is silently dropped, even
 //!    mid-corpus I/O failures.
-//! 3. **Allocation discipline** — the per-page route + extract core
-//!    performs zero steady-state heap allocations (counting global
-//!    allocator, `tests/pipeline_alloc.rs`).
+//! 3. **Allocation discipline** — the per-page core, from lexing the
+//!    page through routing and extraction, performs zero steady-state
+//!    heap allocations (counting global allocator,
+//!    `tests/pipeline_alloc.rs`).
 
 pub mod ingest;
 pub mod router;
@@ -46,8 +47,7 @@ pub mod sink;
 pub use ingest::{CorpusSource, MemPage};
 pub use router::{AnyWrapper, RouteOutcome, Router, RouterError, WorkerScratch, SIGNATURE_CFG};
 
-use rextract_html::token::Token;
-use rextract_html::tokenize_spanned;
+use rextract_html::PageTokens;
 use rextract_wrapper::{TupleWrapper, Wrapper};
 use sink::{error_line, tuple_line, PageLine, ReorderSink};
 use std::io::{self, Write};
@@ -57,7 +57,8 @@ use std::sync::{mpsc, Arc};
 /// What the pipeline observed on one routed page — the hook through
 /// which a host (the daemon's drift-repair loop) self-labels corpus
 /// pages as wrapper evidence. Unrouted and unreadable pages produce no
-/// event: there is no wrapper to attribute them to.
+/// event: there is no wrapper to attribute them to. Events carry the
+/// page text; token indices refer to [`rextract_html::tokenize`] of it.
 #[derive(Debug)]
 pub enum PageEvent<'a> {
     /// Extraction succeeded. `targets` are token indices in page order
@@ -65,8 +66,8 @@ pub enum PageEvent<'a> {
     Extracted {
         /// Wrapper name.
         wrapper: &'a str,
-        /// The page's token stream.
-        tokens: &'a [Token],
+        /// The page's text.
+        page: &'a str,
         /// Extracted token indices.
         targets: &'a [usize],
     },
@@ -76,8 +77,8 @@ pub enum PageEvent<'a> {
     Failed {
         /// Wrapper name.
         wrapper: &'a str,
-        /// The page's token stream.
-        tokens: &'a [Token],
+        /// The page's text.
+        page: &'a str,
         /// True on a clean no-match.
         empty: bool,
     },
@@ -250,6 +251,12 @@ impl From<io::Error> for PipelineError {
     }
 }
 
+/// Channel slots per worker between the workers and the draining
+/// thread. A full channel blocks the workers, so a slow output stream
+/// holds at most this many finished pages per worker in flight instead
+/// of the whole corpus.
+const CHANNEL_SLOTS_PER_WORKER: usize = 16;
+
 /// Per-page outcome sent from a worker to the draining thread.
 enum Outcome {
     Ok { wrapper: usize },
@@ -282,10 +289,10 @@ pub fn run_pipeline<'a>(
             .map(|(n, w)| (n.clone(), AnyWrapper::Tuple(Arc::clone(w)))),
     );
     let router = Router::from_entries(entries, cfg.wrapper_override.as_deref())?;
+    let mut sample = PageTokens::new();
     for (name, path) in &cfg.route_samples {
-        let html = std::fs::read_to_string(path)?;
-        let tokens = rextract_html::tokenize(&html);
-        router.register(name, &tokens)?;
+        sample.lex(&std::fs::read_to_string(path)?);
+        router.register(name, &sample)?;
     }
     if let Some(path) = &cfg.signatures {
         match std::fs::read_to_string(path) {
@@ -311,7 +318,8 @@ pub fn run_pipeline<'a>(
     let mut sink = ReorderSink::new(out, sidecar);
 
     let next_job = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(u64, Outcome, PageLine)>();
+    let (tx, rx) =
+        mpsc::sync_channel::<(u64, Outcome, PageLine)>(workers * CHANNEL_SLOTS_PER_WORKER);
     let mut write_err: Option<io::Error> = None;
 
     let observer: Option<&PageObserver> = cfg.observer.as_deref();
@@ -371,9 +379,10 @@ pub fn run_pipeline<'a>(
     Ok(report)
 }
 
-/// Process one page end to end on a worker: read, tokenize with spans,
-/// route + extract, format the output line. Every failure mode maps to
-/// an accounted outcome — this function cannot lose a page.
+/// Process one page end to end on a worker: read, lex into the worker's
+/// scratch, route + extract, format the output line from the target
+/// tokens' spans. Every failure mode maps to an accounted outcome — this
+/// function cannot lose a page.
 fn process_job(
     job: &ingest::PageJob,
     router: &Router,
@@ -389,18 +398,17 @@ fn process_job(
             )
         }
     };
-    let (tokens, spans) = tokenize_spanned(&body);
-    match router.route_and_extract(&tokens, scratch) {
+    match router.route_page(&body, scratch) {
         RouteOutcome::Extracted { wrapper, target } => {
             let (name, w) = &router.wrappers()[wrapper];
             if let Some(obs) = observer {
                 obs(PageEvent::Extracted {
                     wrapper: name,
-                    tokens: &tokens,
+                    page: &body,
                     targets: &[target],
                 });
             }
-            let (s, e) = spans[target];
+            let (s, e) = scratch.page().span(target);
             let line = tuple_line(
                 &job.source,
                 name,
@@ -416,11 +424,12 @@ fn process_job(
             if let Some(obs) = observer {
                 obs(PageEvent::Extracted {
                     wrapper: name,
-                    tokens: &tokens,
+                    page: &body,
                     targets: &targets,
                 });
             }
-            let offsets: Vec<(usize, usize)> = targets.iter().map(|&t| spans[t]).collect();
+            let offsets: Vec<(usize, usize)> =
+                targets.iter().map(|&t| scratch.page().span(t)).collect();
             let fields: Vec<&str> = offsets.iter().map(|&(s, e)| &body[s..e]).collect();
             let line = tuple_line(
                 &job.source,
@@ -441,7 +450,7 @@ fn process_job(
             if let Some(obs) = observer {
                 obs(PageEvent::Failed {
                     wrapper: name,
-                    tokens: &tokens,
+                    page: &body,
                     empty,
                 });
             }
@@ -552,6 +561,43 @@ mod tests {
         let report = run_pipeline(&cfg, wrappers, &mut out, None).unwrap();
         assert_eq!(report.pages_total, 0);
         assert!(out.is_empty());
+    }
+
+    /// A writer that takes its time over every write, so the workers
+    /// outrun the draining thread and fill the bounded channel.
+    struct SlowWriter(Vec<u8>);
+
+    impl Write for SlowWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn slow_output_blocks_workers_without_changing_output() {
+        // More pages than the channel holds at the largest worker count.
+        let pages = 7 * CHANNEL_SLOTS_PER_WORKER + 20;
+        let (wrappers, corpus) = wrappers_and_corpus(pages);
+        let mut reference = Vec::new();
+        let cfg = PipelineConfig::new(CorpusSource::Memory(corpus.clone()));
+        run_pipeline(&cfg, wrappers.clone(), &mut reference, None).unwrap();
+        for workers in [1, 2, 7] {
+            let cfg = PipelineConfig {
+                workers,
+                ..PipelineConfig::new(CorpusSource::Memory(corpus.clone()))
+            };
+            let mut out = SlowWriter(Vec::new());
+            let report = run_pipeline(&cfg, wrappers.clone(), &mut out, None).unwrap();
+            assert_eq!(out.0, reference, "output changed at {workers} workers");
+            assert_eq!(report.pages_total, pages as u64);
+            assert_eq!(report.accounted(), report.pages_total);
+        }
     }
 
     #[test]
@@ -675,13 +721,14 @@ mod tests {
         let observer: Arc<PageObserver> = Arc::new(move |ev: PageEvent<'_>| {
             if let PageEvent::Extracted {
                 wrapper,
-                tokens,
+                page,
                 targets,
             } = ev
             {
+                let tokens = rextract_html::tokenize(page).len();
                 sink.lock()
                     .unwrap()
-                    .push((wrapper.to_string(), tokens.len(), targets[0]));
+                    .push((wrapper.to_string(), tokens, targets[0]));
             }
         });
         let cfg = PipelineConfig {

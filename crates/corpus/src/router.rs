@@ -34,7 +34,7 @@
 
 use rextract_automata::Alphabet;
 use rextract_html::seq::SeqConfig;
-use rextract_html::token::Token;
+use rextract_html::{PageTokens, TokenView};
 use rextract_wrapper::{TupleWrapper, Wrapper, WrapperError, WrapperScratch};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -91,9 +91,9 @@ impl AnyWrapper {
     /// Extract this wrapper's targets into `targets` (cleared first),
     /// reusing `scratch`. Uniform over both kinds so the router's probe
     /// and bound paths need no per-kind branches at the call sites.
-    fn extract_targets_into(
+    fn extract_targets_into<V: TokenView + ?Sized>(
         &self,
-        tokens: &[Token],
+        tokens: &V,
         scratch: &mut WrapperScratch,
         targets: &mut Vec<usize>,
     ) -> Result<(), WrapperError> {
@@ -133,12 +133,20 @@ pub enum RouteOutcome {
     Unrouted,
 }
 
-/// Per-worker scratch: one [`WrapperScratch`] per wrapper (each wrapper
-/// has its own alphabet, and the tag memo inside a scratch is only valid
-/// for one alphabet at a time) plus one for signature hashing. Keeping
-/// them separate is what makes the steady-state page loop allocation-free
-/// even on a corpus that interleaves wrappers.
+/// Per-worker scratch: the lexed page ([`Router::route_page`] lexes
+/// into it), one [`WrapperScratch`] per wrapper (each wrapper has its own
+/// alphabet, and the tag memo inside a scratch is only valid for one
+/// alphabet at a time) plus one for signature hashing. Keeping them
+/// separate is what makes the steady-state page loop, from lexing to
+/// extraction, allocation-free even on a corpus that interleaves
+/// wrappers.
 pub struct WorkerScratch {
+    page: PageTokens,
+    route: RouteScratch,
+}
+
+/// The wrapper-side half of a [`WorkerScratch`].
+struct RouteScratch {
     sig: WrapperScratch,
     per_wrapper: Vec<WrapperScratch>,
 }
@@ -147,9 +155,18 @@ impl WorkerScratch {
     /// Scratch sized for a router over `wrapper_count` wrappers.
     pub fn new(wrapper_count: usize) -> WorkerScratch {
         WorkerScratch {
-            sig: WrapperScratch::new(),
-            per_wrapper: (0..wrapper_count).map(|_| WrapperScratch::new()).collect(),
+            page: PageTokens::new(),
+            route: RouteScratch {
+                sig: WrapperScratch::new(),
+                per_wrapper: (0..wrapper_count).map(|_| WrapperScratch::new()).collect(),
+            },
         }
+    }
+
+    /// The page most recently lexed by [`Router::route_page`]: token
+    /// spans and the page text for the output line.
+    pub fn page(&self) -> &PageTokens {
+        &self.page
     }
 }
 
@@ -260,7 +277,11 @@ impl Router {
     /// to the same tag skeleton route there directly, bypassing the
     /// probe (and overriding any probe-and-bind result for that
     /// signature). Returns the bound signature.
-    pub fn register(&self, wrapper: &str, tokens: &[Token]) -> Result<u64, RouterError> {
+    pub fn register<V: TokenView + ?Sized>(
+        &self,
+        wrapper: &str,
+        tokens: &V,
+    ) -> Result<u64, RouterError> {
         let idx = self
             .wrappers
             .iter()
@@ -275,12 +296,29 @@ impl Router {
         Ok(sig)
     }
 
-    /// Route a tokenized page and extract its target. This is the worker
-    /// hot loop's core: at steady state — warmed scratch, signature
-    /// already bound — it performs zero heap allocations (proved by the
-    /// counting-allocator test in `tests/pipeline_alloc.rs`). Probing and
-    /// binding only happen the first time a signature is seen.
-    pub fn route_and_extract(&self, tokens: &[Token], scratch: &mut WorkerScratch) -> RouteOutcome {
+    /// Lex `page` into `scratch` (see [`WorkerScratch::page`]), then
+    /// route and extract it. This is the worker hot loop's core: at
+    /// steady state — warmed scratch, signature already bound — it
+    /// performs zero heap allocations from lexing to extraction (proved
+    /// by the counting-allocator test in `tests/pipeline_alloc.rs`).
+    /// Probing and binding only happen the first time a signature is
+    /// seen.
+    pub fn route_page(&self, page: &str, scratch: &mut WorkerScratch) -> RouteOutcome {
+        scratch.page.lex(page);
+        self.route(&scratch.page, &mut scratch.route)
+    }
+
+    /// Route an already tokenized page and extract its target; the same
+    /// routing as [`Router::route_page`], over any [`TokenView`].
+    pub fn route_and_extract<V: TokenView + ?Sized>(
+        &self,
+        tokens: &V,
+        scratch: &mut WorkerScratch,
+    ) -> RouteOutcome {
+        self.route(tokens, &mut scratch.route)
+    }
+
+    fn route<V: TokenView + ?Sized>(&self, tokens: &V, scratch: &mut RouteScratch) -> RouteOutcome {
         fail_point!("pipeline.route", |_action| RouteOutcome::Unrouted);
         if let Some(i) = self.override_idx {
             return self.extract_with(i, tokens, scratch);
@@ -345,11 +383,11 @@ impl Router {
         known as f64 / word.len() as f64
     }
 
-    fn extract_with(
+    fn extract_with<V: TokenView + ?Sized>(
         &self,
         i: usize,
-        tokens: &[Token],
-        scratch: &mut WorkerScratch,
+        tokens: &V,
+        scratch: &mut RouteScratch,
     ) -> RouteOutcome {
         let sc = &mut scratch.per_wrapper[i];
         match &self.wrappers[i].1 {

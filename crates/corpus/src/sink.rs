@@ -16,10 +16,10 @@
 //!  "fields":["<input type=\"text\" ...>"]}
 //! ```
 //!
-//! `byte_offsets` are spans into the **raw source bytes** (from
-//! [`rextract_html::tokenize_spanned`]) and `fields` the exact bytes at
-//! those spans — an auditor can re-slice the stored page and get the
-//! same value back. Non-tuple outcomes (unrouted, read error, failed
+//! `byte_offsets` are spans into the **raw source bytes** (token spans
+//! of the page lexed into [`rextract_html::PageTokens`]) and `fields`
+//! the exact bytes at those spans — an auditor can re-slice the stored
+//! page and get the same value back. Non-tuple outcomes (unrouted, read error, failed
 //! extraction) become error lines `{"source":...,"error":...}` on the
 //! sidecar stream, or inline in the main stream when no sidecar is
 //! given: a page is never silently dropped.

@@ -1,20 +1,19 @@
 //! Proof of the corpus worker's allocation discipline: once a worker's
 //! [`WorkerScratch`] is warm and the corpus's site signatures are bound,
-//! the per-page route + extract core (`Router::route_and_extract`)
-//! performs **zero** heap allocations per page.
+//! the per-page core (`Router::route_page`: lex the page into the
+//! scratch's `PageTokens`, route, extract) performs **zero** heap
+//! allocations per page.
 //!
 //! Same counting-`#[global_allocator]` idiom as
 //! `crates/extraction/tests/zero_alloc.rs`: allocations are tallied only
 //! on the test's own thread while a const-initialized thread-local gate
 //! is up, so the libtest harness's other threads stay invisible.
 //!
-//! Tokenization is deliberately outside the gate — producing a
-//! `Vec<Token>` from bytes allocates by nature and is a per-page input
-//! cost, not part of the routing/extraction contract (the same scoping
-//! as serve's `batch_alloc.rs`).
+//! Lexing is inside the gate: the lexer writes into buffers that a
+//! warmed scratch already holds, so only reading the page (an input
+//! cost) and formatting its output line stay outside.
 
 use rextract_corpus::{RouteOutcome, Router, WorkerScratch};
-use rextract_html::token::Token;
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 use rextract_wrapper::{TrainPage, Wrapper, WrapperConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,22 +89,22 @@ fn steady_state_route_and_extract_does_not_allocate() {
     )
     .unwrap();
 
-    // A fixed interleaved corpus, pre-tokenized. Keep only pages that
+    // A fixed interleaved corpus of page texts. Keep only pages that
     // route successfully: the Failed outcome formats a reason string
     // (allocates) and is exempt by design, like the ambiguous-error
     // path in the extraction engine's own zero-alloc test.
     let mut scratch = WorkerScratch::new(router.wrappers().len());
-    let pages: Vec<Vec<Token>> = (0..16)
+    let pages: Vec<String> = (0..16)
         .map(|i| {
             if i % 2 == 0 {
-                g.page().tokens
+                g.page().html()
             } else {
-                g.listing_page().tokens
+                g.listing_page().html()
             }
         })
-        .filter(|tokens| {
+        .filter(|html| {
             matches!(
-                router.route_and_extract(tokens, &mut scratch),
+                router.route_page(html, &mut scratch),
                 RouteOutcome::Extracted { .. }
             )
         })
@@ -117,16 +116,16 @@ fn steady_state_route_and_extract_does_not_allocate() {
     );
 
     // Warm-up: every signature bound, every scratch buffer at max size.
-    for tokens in &pages {
-        let _ = router.route_and_extract(tokens, &mut scratch);
+    for html in &pages {
+        let _ = router.route_page(html, &mut scratch);
     }
     let bindings_before = router.binding_count();
 
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
     for _ in 0..50 {
-        for tokens in &pages {
-            match router.route_and_extract(tokens, &mut scratch) {
+        for html in &pages {
+            match router.route_page(html, &mut scratch) {
                 RouteOutcome::Extracted { .. } => {}
                 other => {
                     COUNTING.with(|c| c.set(false));
@@ -141,7 +140,7 @@ fn steady_state_route_and_extract_does_not_allocate() {
     assert_eq!(
         allocs,
         0,
-        "steady-state route+extract performed {allocs} heap allocations over {} pages",
+        "steady-state lex+route+extract performed {allocs} heap allocations over {} pages",
         pages.len() * 50
     );
     assert_eq!(

@@ -5,58 +5,42 @@
 //! Unknown or malformed references are passed through verbatim — the
 //! permissive behaviour a wrapper needs on wild HTML.
 
-/// Decode character references in `input`.
-pub fn decode(input: &str) -> String {
+use std::borrow::Cow;
+
+/// Decode character references in `input`. Borrows `input` unchanged
+/// when it contains no `&` — the common case for tag-free text runs.
+pub fn decode(input: &str) -> Cow<'_, str> {
+    let Some(first) = input.find('&') else {
+        return Cow::Borrowed(input);
+    };
     let mut out = String::with_capacity(input.len());
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Advance over one UTF-8 scalar.
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&input[i..i + ch_len]);
-            i += ch_len;
-            continue;
-        }
-        // Find terminating ';' within a reasonable window.
-        let end = input[i + 1..]
+    out.push_str(&input[..first]);
+    let mut rest = &input[first..];
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
+        // Find the terminating ';' within a reasonable window.
+        let decoded = rest[1..]
             .char_indices()
             .take(32)
             .find(|&(_, c)| c == ';')
-            .map(|(off, _)| i + 1 + off);
-        match end {
-            Some(semi) => {
-                let body = &input[i + 1..semi];
-                match decode_one(body) {
-                    Some(decoded) => {
-                        out.push_str(&decoded);
-                        i = semi + 1;
-                    }
-                    None => {
-                        out.push('&');
-                        i += 1;
-                    }
-                }
+            .and_then(|(semi, _)| Some((decode_one(&rest[1..1 + semi])?, semi + 2)));
+        match decoded {
+            Some((c, consumed)) => {
+                out.push(c);
+                rest = &rest[consumed..];
             }
             None => {
                 out.push('&');
-                i += 1;
+                rest = &rest[1..];
             }
         }
     }
-    out
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-fn decode_one(body: &str) -> Option<String> {
+fn decode_one(body: &str) -> Option<char> {
     let named = match body {
         "amp" => Some('&'),
         "lt" => Some('<'),
@@ -72,8 +56,8 @@ fn decode_one(body: &str) -> Option<String> {
         "hellip" => Some('…'),
         _ => None,
     };
-    if let Some(c) = named {
-        return Some(c.to_string());
+    if named.is_some() {
+        return named;
     }
     let stripped = body.strip_prefix('#')?;
     let code = if let Some(hex) = stripped.strip_prefix(['x', 'X']) {
@@ -81,7 +65,7 @@ fn decode_one(body: &str) -> Option<String> {
     } else {
         stripped.parse::<u32>().ok()?
     };
-    char::from_u32(code).map(|c| c.to_string())
+    char::from_u32(code)
 }
 
 #[cfg(test)]
@@ -116,6 +100,16 @@ mod tests {
     #[test]
     fn multibyte_text_survives() {
         assert_eq!(decode("prix — 10€ &amp; plus"), "prix — 10€ & plus");
+    }
+
+    #[test]
+    fn text_without_ampersand_is_borrowed() {
+        assert!(matches!(decode("plain text"), Cow::Borrowed("plain text")));
+        assert!(matches!(decode(""), Cow::Borrowed("")));
+        assert!(matches!(decode("a &amp; b"), Cow::Owned(_)));
+        // A lone `&` still allocates (it might have been a reference)
+        // but decodes to itself.
+        assert_eq!(decode("AT&T"), "AT&T");
     }
 
     #[test]

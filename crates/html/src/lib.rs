@@ -7,9 +7,12 @@
 //!
 //! * [`token`] — the token model (start/end tags, attributes, text,
 //!   comments, doctype),
-//! * [`tokenizer`] — a permissive streaming tokenizer (handles unclosed
-//!   constructs, raw-text elements like `<script>`, attribute quoting
-//!   styles),
+//! * [`lexer`] — the permissive HTML lexer (handles unclosed constructs,
+//!   raw-text elements like `<script>`, attribute quoting styles) into
+//!   reusable, borrowed [`PageTokens`] records: the page path,
+//! * [`tokenizer`] — the owned token stream materialized from the lexer
+//!   ([`tokenize`], [`tokenize_spanned`]),
+//! * [`view`] — [`TokenView`], one read-only interface over both,
 //! * [`entities`] — character-reference decoding,
 //! * [`seq`] — the tag-sequence abstraction: token stream → symbol-name
 //!   sequence with a configurable level of detail, plus vocabulary
@@ -28,12 +31,16 @@
 //! [`Alphabet`]: rextract_automata::Alphabet
 
 pub mod entities;
+pub mod lexer;
 pub mod seq;
 pub mod token;
 pub mod tokenizer;
+pub mod view;
 pub mod writer;
 pub mod xml;
 
+pub use lexer::{fnv1a_64, PageTokens, TokenKind};
 pub use seq::{SeqConfig, SeqEntry};
 pub use token::{Attribute, Token};
 pub use tokenizer::{tokenize, tokenize_spanned, Span};
+pub use view::TokenView;

@@ -47,7 +47,7 @@ impl<'a> XmlTokenizer<'a> {
                     .unwrap_or(self.input.len());
                 let raw = &self.input[self.pos..end];
                 if !raw.is_empty() {
-                    self.out.push(Token::Text(decode(raw)));
+                    self.out.push(Token::Text(decode(raw).into_owned()));
                 }
                 self.pos = end;
             }
@@ -177,7 +177,7 @@ impl<'a> XmlTokenizer<'a> {
                 // constructor.
                 attrs.push(Attribute {
                     name,
-                    value: decode(&value),
+                    value: decode(&value).into_owned(),
                 });
             } else {
                 attrs.push(Attribute {

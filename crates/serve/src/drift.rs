@@ -9,7 +9,10 @@
 //! 1. **Evidence.** While a wrapper serves, the [`RepairHub`] retains a
 //!    bounded ring of recent *successful* pages (each one a
 //!    self-labeled training sample: the served extraction result is the
-//!    label) and recent *failing* pages (the drift witnesses).
+//!    label) and recent *failing* pages (the drift witnesses). It keeps
+//!    the page text, not tokens: recording is on the serving hot path,
+//!    repairs are rare, so pages are tokenized only when a repair
+//!    takes its [`RepairHub::snapshot`].
 //! 2. **Relabel.** Artifacts carry no training samples, so the repair
 //!    recovers labels for the failing pages by sequence alignment: the
 //!    LCS between a failing page's tag sequence and a known-good page's
@@ -35,6 +38,7 @@
 use rextract_faults::fail_point;
 use rextract_html::seq::{to_names, SeqConfig};
 use rextract_html::token::Token;
+use rextract_html::tokenize;
 use rextract_learn::align::{lcs, leftmost_embedding};
 use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig};
 use std::collections::{HashMap, VecDeque};
@@ -57,11 +61,11 @@ const MIN_LCS_RATIO: f64 = 0.5;
 /// Per-wrapper repair evidence and attempt bookkeeping.
 #[derive(Default)]
 struct Evidence {
-    /// Recent successful extractions: `(tokens, target token index)`.
+    /// Recent successful extractions: `(page text, target token index)`.
     /// Self-labeled — what the wrapper served is the label.
-    good: VecDeque<(Vec<Token>, usize)>,
+    good: VecDeque<(String, usize)>,
     /// Recent failing pages (no-match or hard failure).
-    failing: VecDeque<Vec<Token>>,
+    failing: VecDeque<String>,
     /// Repair attempts so far (reset by a successful repair or a manual
     /// install).
     attempts: u32,
@@ -89,24 +93,25 @@ impl RepairHub {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Retain a successful extraction as a self-labeled training sample.
-    pub fn record_success(&self, name: &str, tokens: &[Token], target: usize) {
+    /// Retain a successful extraction as a self-labeled training sample:
+    /// `target` is a token index into [`tokenize`] of `page`.
+    pub fn record_success(&self, name: &str, page: &str, target: usize) {
         let mut map = self.lock();
         let ev = map.entry(name.to_string()).or_default();
         if ev.good.len() == GOOD_CAP {
             ev.good.pop_front();
         }
-        ev.good.push_back((tokens.to_vec(), target));
+        ev.good.push_back((page.to_string(), target));
     }
 
     /// Retain a failing page as repair evidence.
-    pub fn record_failure(&self, name: &str, tokens: Vec<Token>) {
+    pub fn record_failure(&self, name: &str, page: &str) {
         let mut map = self.lock();
         let ev = map.entry(name.to_string()).or_default();
         if ev.failing.len() == FAILING_CAP {
             ev.failing.pop_front();
         }
-        ev.failing.push_back(tokens);
+        ev.failing.push_back(page.to_string());
     }
 
     /// Whether a repair attempt may start now: attempts not exhausted,
@@ -152,15 +157,22 @@ impl RepairHub {
         self.lock().remove(name);
     }
 
-    /// Snapshot the evidence for a repair attempt (the repair thread
-    /// must not hold the hub lock while training).
+    /// Snapshot the evidence for a repair attempt, tokenized (the repair
+    /// thread must not hold the hub lock while training, so the pages
+    /// are copied out before tokenizing).
     #[allow(clippy::type_complexity)]
     pub fn snapshot(&self, name: &str) -> Option<(Vec<(Vec<Token>, usize)>, Vec<Vec<Token>>)> {
-        let map = self.lock();
-        let ev = map.get(name)?;
+        let (good, failing): (Vec<(String, usize)>, Vec<String>) = {
+            let map = self.lock();
+            let ev = map.get(name)?;
+            (
+                ev.good.iter().cloned().collect(),
+                ev.failing.iter().cloned().collect(),
+            )
+        };
         Some((
-            ev.good.iter().cloned().collect(),
-            ev.failing.iter().cloned().collect(),
+            good.iter().map(|(page, t)| (tokenize(page), *t)).collect(),
+            failing.iter().map(|page| tokenize(page)).collect(),
         ))
     }
 }
@@ -308,7 +320,6 @@ pub fn run_repair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rextract_html::tokenizer::tokenize;
     use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 
     fn site(seed: u64) -> SiteGenerator {
@@ -321,16 +332,17 @@ mod tests {
     #[test]
     fn hub_rings_are_bounded_and_resettable() {
         let hub = RepairHub::new(Duration::from_millis(1));
-        let toks = tokenize("<p>x</p>");
-        for _ in 0..GOOD_CAP + 5 {
-            hub.record_success("w", &toks, 0);
+        for i in 0..GOOD_CAP + 5 {
+            hub.record_success("w", &format!("<p>{i}</p>"), 0);
         }
         for _ in 0..FAILING_CAP + 5 {
-            hub.record_failure("w", toks.clone());
+            hub.record_failure("w", "<p>x</p>");
         }
         let (good, failing) = hub.snapshot("w").unwrap();
         assert_eq!(good.len(), GOOD_CAP);
         assert_eq!(failing.len(), FAILING_CAP);
+        // The ring keeps the newest pages, tokenized on snapshot.
+        assert_eq!(good[0].0, tokenize("<p>5</p>"));
         hub.reset("w");
         assert!(hub.snapshot("w").is_none());
         assert!(!hub.ready("w"));
@@ -339,12 +351,12 @@ mod tests {
     #[test]
     fn ready_needs_evidence_attempts_and_backoff() {
         let hub = RepairHub::new(Duration::from_millis(20));
-        let toks = tokenize("<p>x</p>");
+        let page = "<p>x</p>";
         assert!(!hub.ready("w"), "no evidence yet");
-        hub.record_success("w", &toks, 0);
-        hub.record_failure("w", toks.clone());
+        hub.record_success("w", page, 0);
+        hub.record_failure("w", page);
         assert!(!hub.ready("w"), "one failing page is not enough");
-        hub.record_failure("w", toks.clone());
+        hub.record_failure("w", page);
         assert!(hub.ready("w"));
         hub.note_attempt("w");
         assert!(!hub.ready("w"), "backoff armed");
@@ -417,7 +429,7 @@ mod tests {
             let got = installed
                 .extract_target_with(&p.tokens, &mut scratch)
                 .unwrap();
-            hub.record_success("cat", &p.tokens, got);
+            hub.record_success("cat", &p.html(), got);
         }
         let mut perturber = Perturber::new(7);
         let mut drifted = 0;
@@ -426,11 +438,14 @@ mod tests {
             tries += 1;
             let p = g.page_with_style(PageStyle::Plain);
             let edited = perturber.perturb(&p.tokens, p.target, 6);
+            // The hub keeps page text: render the edit, and judge the
+            // page the repair will later tokenize.
+            let html = rextract_html::writer::write(&edited.tokens);
             if installed
-                .extract_target_with(&edited.tokens, &mut scratch)
+                .extract_target_with(&tokenize(&html), &mut scratch)
                 .is_err()
             {
-                hub.record_failure("cat", edited.tokens);
+                hub.record_failure("cat", &html);
                 drifted += 1;
             }
         }

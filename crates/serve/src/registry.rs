@@ -40,7 +40,7 @@
 //! short backoff before being reported.
 
 use rextract_faults::fail_point;
-use rextract_html::token::Token;
+use rextract_html::PageTokens;
 use rextract_wrapper::persist::PersistError;
 use rextract_wrapper::wrapper::{Wrapper, WrapperError, WrapperScratch};
 use std::collections::HashMap;
@@ -102,21 +102,24 @@ pub enum ResolveError {
     NoSelection,
 }
 
-/// Batch-extract entry point: run `wrapper` over every tokenized page in
-/// `pages`, reusing one `scratch` across the whole batch, collecting
-/// per-page verdicts into `out` (cleared first). With warmed buffers
-/// this path performs **zero allocations** per page — the point of
-/// coalescing same-wrapper requests into batches — which
-/// `tests/batch_alloc.rs` asserts via a counting global allocator.
+/// Batch-extract entry point: lex every page of `pages` into `lexed` and
+/// run `wrapper` over it, reusing one `lexed` and one `scratch` across
+/// the whole batch, collecting per-page verdicts (token indices) into
+/// `out` (cleared first). With warmed buffers this path performs **zero
+/// allocations** per page, lexing included — the point of coalescing
+/// same-wrapper requests into batches — which `tests/batch_alloc.rs`
+/// asserts via a counting global allocator.
 pub fn extract_batch_into(
     wrapper: &Wrapper,
-    pages: &[&[Token]],
+    pages: &[&str],
+    lexed: &mut PageTokens,
     scratch: &mut WrapperScratch,
     out: &mut Vec<Result<usize, WrapperError>>,
 ) {
     out.clear();
     for page in pages {
-        out.push(wrapper.extract_target_with(page, scratch));
+        lexed.lex(page);
+        out.push(wrapper.extract_target_with(lexed, scratch));
     }
 }
 
@@ -533,16 +536,18 @@ mod tests {
         let batch: Vec<_> = (0..4)
             .map(|_| g.page_with_style(PageStyle::Plain))
             .collect();
-        let pages: Vec<&[Token]> = batch.iter().map(|p| p.tokens.as_slice()).collect();
+        let html: Vec<String> = batch.iter().map(|p| p.html()).collect();
+        let pages: Vec<&str> = html.iter().map(String::as_str).collect();
+        let mut lexed = PageTokens::new();
         let mut scratch = WrapperScratch::new();
         let mut out = Vec::new();
-        extract_batch_into(&wrapper, &pages, &mut scratch, &mut out);
+        extract_batch_into(&wrapper, &pages, &mut lexed, &mut scratch, &mut out);
         assert_eq!(out.len(), 4);
         for (page, verdict) in batch.iter().zip(&out) {
             assert!(matches!(verdict, Ok(t) if *t == page.target));
         }
         // `out` is cleared, not appended, on reuse.
-        extract_batch_into(&wrapper, &pages[..2], &mut scratch, &mut out);
+        extract_batch_into(&wrapper, &pages[..2], &mut lexed, &mut scratch, &mut out);
         assert_eq!(out.len(), 2);
     }
 

@@ -56,8 +56,7 @@ use rextract_automata::Store;
 use rextract_corpus::{run_pipeline, CorpusSource, PageEvent, PageObserver, PipelineConfig};
 use rextract_extraction::JoinStrategy;
 use rextract_faults::fail_point;
-use rextract_html::tokenize_spanned;
-use rextract_html::tokenizer::tokenize;
+use rextract_html::{tokenize_spanned, PageTokens};
 use rextract_wrapper::evaluate_query_with;
 use rextract_wrapper::wrapper::{Wrapper, WrapperError, WrapperScratch};
 use std::collections::{BTreeMap, HashMap};
@@ -1038,13 +1037,15 @@ fn reject_overloaded(stream: TcpStream, ctx: &Ctx, queue_capacity: usize) {
 }
 
 /// Pop batches until the queue closes. One long-lived extraction scratch
-/// per worker: every batch this worker serves reuses the same
-/// abstraction/scan buffers, and a batch resolves its wrapper once —
-/// that is the amortization batching buys. Safe under the per-item
-/// `catch_unwind` in [`Batch::run`] — the buffers are cleared at the
-/// start of each extraction, so a panicked item leaves no residue.
+/// and lexed-page buffer per worker: every batch this worker serves
+/// reuses the same lexer/abstraction/scan buffers, and a batch resolves
+/// its wrapper once — that is the amortization batching buys. Safe
+/// under the per-item `catch_unwind` in [`Batch::run`] — the buffers are
+/// cleared at the start of each lex and extraction, so a panicked item
+/// leaves no residue.
 fn worker_loop(queue: &JobQueue<Batch>, ctx: &Ctx) {
     let mut scratch = WrapperScratch::new();
+    let mut page = PageTokens::new();
     while let Some((batch, depth)) = queue.pop() {
         // Deliberately OUTSIDE Batch::run's per-item guard: this
         // simulates the class of panic that kills the whole worker
@@ -1065,11 +1066,12 @@ fn worker_loop(queue: &JobQueue<Batch>, ctx: &Ctx) {
                         name,
                         wrapper,
                         ctx,
+                        &mut page,
                         &mut scratch,
                     ),
                 ),
                 Some(Err(e)) => (Endpoint::Extract, resolve_error_response(e, ctx)),
-                None => route(&item.req, item.arrived, ctx, &mut scratch),
+                None => route(&item.req, item.arrived, ctx, &mut page, &mut scratch),
             };
             let elapsed_us = started.elapsed().as_micros() as u64;
             ctx.metrics.record(endpoint, resp.status, elapsed_us);
@@ -1082,13 +1084,15 @@ fn worker_loop(queue: &JobQueue<Batch>, ctx: &Ctx) {
     }
 }
 
-/// Dispatch a parsed request to its handler. `scratch` is the calling
-/// worker's long-lived extraction scratch; `arrived` is when the request
-/// finished parsing (the deadline runs from there, so queue time counts).
+/// Dispatch a parsed request to its handler. `page` and `scratch` are the
+/// calling worker's long-lived lexer and extraction buffers; `arrived` is
+/// when the request finished parsing (the deadline runs from there, so
+/// queue time counts).
 fn route(
     req: &Request,
     arrived: Instant,
     ctx: &Ctx,
+    page: &mut PageTokens,
     scratch: &mut WrapperScratch,
 ) -> (Endpoint, Response) {
     match (req.method.as_str(), req.path.as_str()) {
@@ -1103,7 +1107,7 @@ fn route(
         ),
         ("POST", "/extract") => (
             Endpoint::Extract,
-            handle_extract(req, arrived, ctx, scratch),
+            handle_extract(req, arrived, ctx, page, scratch),
         ),
         ("GET", "/wrappers") => (
             Endpoint::ListWrappers,
@@ -1270,16 +1274,20 @@ fn handle_extract(
     req: &Request,
     arrived: Instant,
     ctx: &Ctx,
+    page: &mut PageTokens,
     scratch: &mut WrapperScratch,
 ) -> Response {
     match ctx.registry.resolve(req.query_param("wrapper")) {
-        Ok((name, wrapper)) => handle_extract_resolved(req, arrived, &name, &wrapper, ctx, scratch),
+        Ok((name, wrapper)) => {
+            handle_extract_resolved(req, arrived, &name, &wrapper, ctx, page, scratch)
+        }
         Err(e) => resolve_error_response(&e, ctx),
     }
 }
 
-/// HTML body → tag sequence → extraction, against an already-resolved
-/// wrapper (batches resolve once for the whole batch).
+/// HTML body → lexed page → extraction, against an already-resolved
+/// wrapper (batches resolve once for the whole batch). Only the served
+/// token is materialized in the owned model, for the response.
 ///
 /// Enforces the per-request deadline cooperatively: std threads cannot
 /// be preempted, so the wall clock is checked between pipeline stages
@@ -1291,6 +1299,7 @@ fn handle_extract_resolved(
     name: &str,
     wrapper: &Wrapper,
     ctx: &Ctx,
+    page: &mut PageTokens,
     scratch: &mut WrapperScratch,
 ) -> Response {
     // Simulates a stall (slow upstream parse, scheduling delay, …) ahead
@@ -1320,15 +1329,15 @@ fn handle_extract_resolved(
                 .finish(),
         );
     }
-    let html = req.body_utf8();
+    let html = String::from_utf8_lossy(&req.body);
     let started = Instant::now();
-    let tokens = tokenize(&html);
+    page.lex(&html);
     let tokenize_us = started.elapsed().as_micros() as u64;
     if arrived.elapsed() >= ctx.request_deadline {
         return deadline_response(ctx);
     }
     let extract_started = Instant::now();
-    let result = wrapper.extract_target_with(&tokens, scratch);
+    let result = wrapper.extract_target_with(page, scratch);
     let extract_us = extract_started.elapsed().as_micros() as u64;
     let outcome = match &result {
         Ok(_) => PageOutcome::Ok,
@@ -1349,21 +1358,21 @@ fn handle_extract_resolved(
     }
     match result {
         Ok(idx) => {
-            let tag = tokens[idx].tag_name().unwrap_or("#text").to_string();
+            let token = page.token(idx);
             let body = Obj::new()
                 .str("wrapper", name)
                 .num("wrapper_revision", u64::from(wrapper.revision()))
                 .num("position", idx as u64)
                 .raw("positions", &crate::json::num_array([idx as u64]))
-                .str("tag", &tag)
-                .str("token", &tokens[idx].to_string())
-                .num("tokens", tokens.len() as u64)
+                .str("tag", token.tag_name().unwrap_or("#text"))
+                .str("token", &token.to_string())
+                .num("tokens", page.len() as u64)
                 .num("tokenize_us", tokenize_us)
                 .num("extract_us", extract_us)
                 .finish();
             // Self-labeling: a page the wrapper parses, with the position
             // it served, is a training sample for a future repair.
-            ctx.repair.record_success(name, &tokens, idx);
+            ctx.repair.record_success(name, &html, idx);
             Response::json(200, body)
         }
         Err(WrapperError::Extract(failure)) => {
@@ -1381,12 +1390,12 @@ fn handle_extract_resolved(
                     "positions",
                     &crate::json::num_array(positions.iter().map(|&p| p as u64)),
                 )
-                .num("tokens", tokens.len() as u64)
+                .num("tokens", page.len() as u64)
                 .num("tokenize_us", tokenize_us)
                 .num("extract_us", extract_us)
                 .finish();
             // Failing pages are the drift witnesses a repair retrains on.
-            ctx.repair.record_failure(name, tokens);
+            ctx.repair.record_failure(name, &html);
             Response::json(422, body)
         }
         Err(e) => Response::json(
@@ -1447,17 +1456,15 @@ fn handle_pipeline(req: &Request, ctx: &Ctx) -> Response {
     let observer: Arc<PageObserver> = Arc::new(move |ev: PageEvent<'_>| match ev {
         PageEvent::Extracted {
             wrapper,
-            tokens,
+            page,
             targets,
         } => {
             if let Some(&target) = targets.first() {
-                repair.record_success(wrapper, tokens, target);
+                repair.record_success(wrapper, page, target);
             }
         }
-        PageEvent::Failed {
-            wrapper, tokens, ..
-        } => {
-            repair.record_failure(wrapper, tokens.to_vec());
+        PageEvent::Failed { wrapper, page, .. } => {
+            repair.record_failure(wrapper, page);
         }
     });
     let cfg = PipelineConfig {

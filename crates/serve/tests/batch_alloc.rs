@@ -1,16 +1,17 @@
-//! Proof of the batched-extraction contract: one `WrapperScratch`
-//! amortized across a batch means a steady-state batch of K same-wrapper
-//! documents performs **zero** extraction-path heap allocations.
+//! Proof of the batched-extraction contract: one `PageTokens` and one
+//! `WrapperScratch` amortized across a batch mean a steady-state batch
+//! of K same-wrapper documents performs **zero** heap allocations from
+//! lexing through extraction.
 //!
 //! Same counting-`#[global_allocator]` idiom as the extraction crate's
 //! `zero_alloc` test: a const-initialized thread-local gate makes the
 //! tally blind to every other thread, and the batch entry point
 //! ([`rextract_serve::registry::extract_batch_into`]) is driven exactly
-//! the way a worker drives it — resolve once, tokenize once (both
-//! outside the counted window, as in the daemon, where tokenization is
-//! per-request but extraction reuses the shared scratch), then extract
-//! every document against the shared scratch.
+//! the way a worker drives it — resolve once (outside the counted
+//! window), then lex and extract every document against the worker's
+//! shared buffers (inside it).
 
+use rextract_html::PageTokens;
 use rextract_serve::registry::extract_batch_into;
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig, WrapperScratch};
@@ -82,14 +83,15 @@ fn steady_state_batch_does_not_allocate() {
             })
         })
         .collect();
-    let pages: Vec<&[rextract_html::token::Token]> =
-        docs.iter().map(|p| p.tokens.as_slice()).collect();
+    let html: Vec<String> = docs.iter().map(|p| p.html()).collect();
+    let pages: Vec<&str> = html.iter().map(String::as_str).collect();
 
+    let mut lexed = PageTokens::new();
     let mut scratch = WrapperScratch::new();
     let mut out = Vec::new();
-    // Warm-up batch: grow the shared scratch (and `out`) to the largest
+    // Warm-up batch: grow the shared buffers (and `out`) to the largest
     // document — exactly what serving the first batch does.
-    extract_batch_into(&wrapper, &pages, &mut scratch, &mut out);
+    extract_batch_into(&wrapper, &pages, &mut lexed, &mut scratch, &mut out);
     for (doc, verdict) in docs.iter().zip(&out) {
         assert!(matches!(verdict, Ok(t) if *t == doc.target));
     }
@@ -97,7 +99,7 @@ fn steady_state_batch_does_not_allocate() {
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
     for _ in 0..50 {
-        extract_batch_into(&wrapper, &pages, &mut scratch, &mut out);
+        extract_batch_into(&wrapper, &pages, &mut lexed, &mut scratch, &mut out);
     }
     COUNTING.with(|c| c.set(false));
     let allocs = ALLOCS.load(Ordering::SeqCst);

@@ -120,16 +120,10 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// FNV-1a 64-bit hash — the artifact trailer's checksum function. Public
-/// so tests and tooling can craft or verify trailers by hand.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64-bit hash — the artifact trailer's checksum function (the
+/// lexer's tag-name hash). Public so tests and tooling can craft or
+/// verify trailers by hand.
+pub use rextract_html::fnv1a_64;
 
 /// Split an artifact into (checksummed region, stored checksum).
 ///

@@ -15,6 +15,7 @@ use rextract_automata::Alphabet;
 use rextract_extraction::{MultiExtractionExpr, MultiExtractor, Span, SpanRelation};
 use rextract_html::seq::{to_names, SeqConfig, Vocabulary};
 use rextract_html::token::Token;
+use rextract_html::TokenView;
 use rextract_learn::multi_merge::{merge_multi, MultiMarkedSeq};
 
 /// A training page with several target token indices (strictly
@@ -140,9 +141,9 @@ impl TupleWrapper {
     /// Locate the target tuple, reusing `scratch` for the abstraction and
     /// every per-marker scan; returns **token indices** in page order.
     /// The only steady-state allocation is the small returned tuple.
-    pub fn extract_targets_with(
+    pub fn extract_targets_with<V: TokenView + ?Sized>(
         &self,
-        tokens: &[Token],
+        tokens: &V,
         scratch: &mut WrapperScratch,
     ) -> Result<Vec<usize>, WrapperError> {
         abstract_page_into(&self.alphabet, &self.seq_cfg, tokens, scratch);

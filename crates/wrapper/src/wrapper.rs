@@ -18,6 +18,7 @@ use rextract_extraction::extract::{ExtractFailure, ExtractScratch, Extractor};
 use rextract_extraction::{ExtractionError, ExtractionExpr, Span, SpanRelation};
 use rextract_html::seq::{SeqConfig, Vocabulary};
 use rextract_html::token::Token;
+use rextract_html::{TokenKind, TokenView};
 use rextract_learn::disambiguate::learn_unambiguous;
 use rextract_learn::{LearnError, MarkedSeq};
 use std::fmt;
@@ -262,9 +263,11 @@ impl Wrapper {
     /// [`Alphabet::uid`]), so at steady state — e.g. a batch of documents
     /// for one wrapper — extraction performs **zero** heap allocations;
     /// only a tag name never seen under this alphabet adds a memo entry.
-    pub fn extract_target_with(
+    /// `tokens` is any [`TokenView`]: lexed [`rextract_html::PageTokens`]
+    /// on the page path, an owned `[Token]` elsewhere.
+    pub fn extract_target_with<V: TokenView + ?Sized>(
         &self,
-        tokens: &[Token],
+        tokens: &V,
         scratch: &mut WrapperScratch,
     ) -> Result<usize, WrapperError> {
         abstract_page_into(&self.alphabet, &self.seq_cfg, tokens, scratch);
@@ -293,10 +296,10 @@ impl Wrapper {
     /// disambiguating step (Freydenberger–Kimelfeld–Peterfreund's
     /// reading, where each expression is a span extractor whose results
     /// compose relationally).
-    pub fn span_relation_with(
+    pub fn span_relation_with<V: TokenView + ?Sized>(
         &self,
         var: impl Into<String>,
-        tokens: &[Token],
+        tokens: &V,
         scratch: &mut WrapperScratch,
     ) -> SpanRelation {
         abstract_page_into(&self.alphabet, &self.seq_cfg, tokens, scratch);
@@ -310,6 +313,9 @@ impl Wrapper {
 /// real sites have far fewer distinct tag names.
 const MEMO_CAP: usize = 64;
 
+/// One tag-memo entry: `(is_end_tag, name hash, tag name, symbol)`.
+type MemoEntry = (bool, u64, String, Symbol);
+
 /// Reusable buffers for the wrapper hot path: the abstracted symbol word,
 /// its token back-map, a per-alphabet tag-name memo, and the extraction
 /// engine's [`ExtractScratch`]. Keep one per worker thread.
@@ -319,12 +325,14 @@ pub struct WrapperScratch {
     word: Vec<Symbol>,
     /// `back[i]` = source token index of `word[i]`.
     back: Vec<usize>,
-    /// Tag-name memo: `(is_end_tag, tag_name) → symbol`, so repeated tags
-    /// resolve with a short linear probe instead of a hash lookup (and,
-    /// for end tags, without re-building the `/NAME` string). Valid for
-    /// the alphabet identified by `memo_uid` and kept across pages — the
-    /// reason a warmed same-wrapper batch extracts without allocating.
-    memo: Vec<(bool, String, Symbol)>,
+    /// Tag-name memo: `(is_end_tag, name hash, tag_name) → symbol`, so
+    /// repeated tags resolve with a short linear probe on the lexer's
+    /// name hash, confirmed by a name compare, instead of an alphabet
+    /// lookup — no name is uppercased, copied, or (for end tags) turned
+    /// into a `/NAME` string. Valid for the alphabet identified by
+    /// `memo_uid` and kept across pages — the reason a warmed
+    /// same-wrapper batch extracts without allocating.
+    memo: Vec<MemoEntry>,
     /// [`Alphabet::uid`] the memo was built against; a different alphabet
     /// (another wrapper on the same worker) invalidates it wholesale.
     memo_uid: Option<u64>,
@@ -367,8 +375,9 @@ impl WrapperScratch {
     /// change to the tag skeleton itself — a new tag name, a reordered
     /// construct — changes the hash.
     ///
-    /// Mechanics: each token maps to a `u64` — start tags hash their
-    /// name (salted), end tags likewise when `cfg.include_end_tags`,
+    /// Mechanics: each token maps to a `u64` — start tags take their
+    /// FNV-1a name hash ([`TokenView::name_hash`], computed once by the
+    /// lexer) salted, end tags likewise when `cfg.include_end_tags`,
     /// non-blank text maps to one fixed marker when `cfg.include_text`
     /// (content invariance by construction), comments/doctypes are
     /// skipped, and `cfg.refine_attrs` is deliberately ignored
@@ -379,22 +388,22 @@ impl WrapperScratch {
     /// hashed. Deterministic, wrapper-independent, and allocation-free
     /// at steady state (the hash sequence lives in reusable scratch
     /// buffers).
-    pub fn skeleton_signature(&mut self, cfg: &SeqConfig, tokens: &[Token]) -> u64 {
+    pub fn skeleton_signature<V: TokenView + ?Sized>(
+        &mut self,
+        cfg: &SeqConfig,
+        tokens: &V,
+    ) -> u64 {
         // Distinct salts keep `<p>` and `</p>` (and a text run) from
         // colliding; arbitrary odd 64-bit constants.
         const START_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
         const END_SALT: u64 = 0xc2b2_ae3d_27d4_eb4f;
         const TEXT_MARK: u64 = 0x1656_67b1_9e37_79f9;
         self.sig.clear();
-        for tok in tokens {
-            let h = match tok {
-                Token::StartTag { name, .. } => {
-                    crate::persist::fnv1a_64(name.as_bytes()) ^ START_SALT
-                }
-                Token::EndTag { name } if cfg.include_end_tags => {
-                    crate::persist::fnv1a_64(name.as_bytes()) ^ END_SALT
-                }
-                Token::Text(_) if cfg.include_text && !tok.is_blank_text() => TEXT_MARK,
+        for i in 0..tokens.token_count() {
+            let h = match tokens.kind(i) {
+                TokenKind::StartTag => tokens.name_hash(i) ^ START_SALT,
+                TokenKind::EndTag if cfg.include_end_tags => tokens.name_hash(i) ^ END_SALT,
+                TokenKind::Text if cfg.include_text && !tokens.is_blank(i) => TEXT_MARK,
                 _ => continue,
             };
             self.sig.push(h);
@@ -445,7 +454,10 @@ fn collapse_tandem_repeats(seq: &mut Vec<u64>, tmp: &mut Vec<u64>) {
         let mut i = 0;
         while i < seq.len() {
             let max_l = ((seq.len() - i) / 2).min(MAX_REPEAT_BLOCK);
-            let repeat = (1..=max_l).find(|&l| seq[i..i + l] == seq[i + l..i + 2 * l]);
+            // Comparing the blocks' first elements rejects almost every
+            // `l` before the slice compare.
+            let repeat = (1..=max_l)
+                .find(|&l| seq[i + l] == seq[i] && seq[i..i + l] == seq[i + l..i + 2 * l]);
             match repeat {
                 Some(l) => {
                     // Keep the first copy, drop the duplicate.
@@ -466,25 +478,31 @@ fn collapse_tandem_repeats(seq: &mut Vec<u64>, tmp: &mut Vec<u64>) {
     }
 }
 
-/// Resolve one tag name through the per-page memo, falling back to (and
-/// memoizing) an alphabet hash lookup on miss.
-fn memo_resolve(
+/// Resolve tag `i`'s name through the per-page memo, falling back to
+/// (and memoizing) an alphabet lookup on miss.
+fn memo_resolve<V: TokenView + ?Sized>(
     alphabet: &Alphabet,
-    memo: &mut Vec<(bool, String, Symbol)>,
+    memo: &mut Vec<MemoEntry>,
     is_end: bool,
-    name: &str,
+    tokens: &V,
+    i: usize,
     other: Symbol,
 ) -> Symbol {
-    if let Some((_, _, sym)) = memo.iter().find(|(end, n, _)| *end == is_end && n == name) {
+    let hash = tokens.name_hash(i);
+    if let Some((.., sym)) = memo
+        .iter()
+        .find(|(end, h, name, _)| *end == is_end && *h == hash && tokens.name_is(i, name))
+    {
         return *sym;
     }
+    let name = tokens.name(i);
     let sym = if is_end {
         alphabet.try_sym(&format!("/{name}")).unwrap_or(other)
     } else {
-        alphabet.try_sym(name).unwrap_or(other)
+        alphabet.try_sym(&name).unwrap_or(other)
     };
     if memo.len() < MEMO_CAP {
-        memo.push((is_end, name.to_string(), sym));
+        memo.push((is_end, hash, name.into_owned(), sym));
     }
     sym
 }
@@ -497,10 +515,10 @@ fn memo_resolve(
 /// per-page memo and builds no intermediate name strings on the memo-hit
 /// path. Shared by [`Wrapper`] and
 /// [`TupleWrapper`](crate::tuple::TupleWrapper).
-pub(crate) fn abstract_page_into(
+pub(crate) fn abstract_page_into<V: TokenView + ?Sized>(
     alphabet: &Alphabet,
     cfg: &SeqConfig,
-    tokens: &[Token],
+    tokens: &V,
     scratch: &mut WrapperScratch,
 ) {
     let other = alphabet.sym(OTHER);
@@ -519,19 +537,19 @@ pub(crate) fn abstract_page_into(
         scratch.memo.clear();
         scratch.memo_uid = Some(alphabet.uid());
     }
-    for (i, tok) in tokens.iter().enumerate() {
-        let sym = match tok {
-            Token::StartTag { name, .. } => {
+    for i in 0..tokens.token_count() {
+        let sym = match tokens.kind(i) {
+            TokenKind::StartTag => {
                 let refined = cfg
                     .refine_attrs
                     .iter()
-                    .find(|(t, a)| t == name && tok.attr(a).is_some());
+                    .find(|(t, a)| tokens.name_is(i, t) && tokens.attr(i, a).is_some());
                 match refined {
                     // Rare refined path: build the `NAME@attr=value` name
                     // exactly as `to_names` does and resolve it directly
                     // (values vary too much to be worth memoizing).
                     Some((t, a)) => {
-                        let value = tok.attr(a).expect("checked present");
+                        let value = tokens.attr(i, a).expect("checked present");
                         let clean: String = value
                             .chars()
                             .map(|c| {
@@ -545,14 +563,14 @@ pub(crate) fn abstract_page_into(
                         let refined_name = format!("{t}@{a}={clean}");
                         alphabet.try_sym(&refined_name).unwrap_or(other)
                     }
-                    None => memo_resolve(alphabet, &mut scratch.memo, false, name, other),
+                    None => memo_resolve(alphabet, &mut scratch.memo, false, tokens, i, other),
                 }
             }
-            Token::EndTag { name } if cfg.include_end_tags => {
-                memo_resolve(alphabet, &mut scratch.memo, true, name, other)
+            TokenKind::EndTag if cfg.include_end_tags => {
+                memo_resolve(alphabet, &mut scratch.memo, true, tokens, i, other)
             }
-            Token::Text(_) if cfg.include_text && !tok.is_blank_text() => text_sym,
-            Token::EndTag { .. } | Token::Text(_) | Token::Comment(_) | Token::Doctype(_) => {
+            TokenKind::Text if cfg.include_text && !tokens.is_blank(i) => text_sym,
+            TokenKind::EndTag | TokenKind::Text | TokenKind::Comment | TokenKind::Doctype => {
                 continue
             }
         };
@@ -875,6 +893,83 @@ mod tests {
             scratch.skeleton_signature(&cfg, &open_only),
             scratch.skeleton_signature(&cfg, &balanced)
         );
+    }
+
+    /// The lexer's `PageTokens` and the owned `[Token]` stream are two
+    /// views of one page: same signature, same abstracted word and
+    /// back-map, under every abstraction level.
+    #[test]
+    fn page_tokens_view_matches_owned_view() {
+        use rextract_html::{tokenize, PageTokens};
+        let mut g = gen(23);
+        let mut pages: Vec<String> = vec![PINNED_PAGE.to_string()];
+        pages.extend((0..4).map(|_| g.page_with_style(PageStyle::Busy).html()));
+        pages.extend((0..2).map(|_| g.listing_page().html()));
+        pages.push(r#"<TD Class=x><Input TYPE="Radio"><input type=text>&nbsp;</td>"#.into());
+        let mut vocab = Vocabulary::new();
+        vocab.observe_name(OTHER);
+        for n in [
+            "TD",
+            "/TD",
+            "INPUT",
+            "#text",
+            "INPUT@type=Radio",
+            "TABLE",
+            "/TR",
+        ] {
+            vocab.observe_name(n);
+        }
+        let alphabet = vocab.alphabet();
+        let configs = [
+            SeqConfig::tags_only(),
+            SeqConfig::with_text(),
+            SeqConfig::with_text().refine("input", "type"),
+        ];
+        let mut lexed = PageTokens::new();
+        let (mut a, mut b) = (WrapperScratch::new(), WrapperScratch::new());
+        for html in &pages {
+            let owned = tokenize(html);
+            lexed.lex(html);
+            for cfg in &configs {
+                assert_eq!(
+                    a.skeleton_signature(cfg, &lexed),
+                    b.skeleton_signature(cfg, &owned)
+                );
+                abstract_page_into(&alphabet, cfg, &lexed, &mut a);
+                abstract_page_into(&alphabet, cfg, &owned, &mut b);
+                assert_eq!((a.word(), a.back()), (b.word(), b.back()));
+                assert_eq!(
+                    (a.word.clone(), a.back.clone()),
+                    abstract_via_to_names(&alphabet, cfg, &owned)
+                );
+            }
+        }
+    }
+
+    /// A fixed page, mixing case, entities, a raw-text body, comments and
+    /// repeated rows.
+    const PINNED_PAGE: &str = "<!DOCTYPE html><html><head><title>Acme &amp; Co</title>\
+        <script>var a = \"<b>\";</script></head>\n<body><!-- nav --><TABLE class=list>\
+        <tr><td>Widget</td><td>$9.99</td></tr><tr><td>Gadget</td><td>&nbsp;</td></tr></table>\n\
+        <form method=\"post\" action=\"/s\"><input type=text name=q><input type=\"submit\" value=\"Go\" />\
+        </form><P>Done</p></body></html>";
+
+    /// Signature values are part of the `rextract-signatures v1` dump
+    /// format: these were computed by the tokenizer-based signature the
+    /// lexer replaced, and must never change.
+    #[test]
+    fn signature_values_are_pinned() {
+        let mut lexed = rextract_html::PageTokens::new();
+        lexed.lex(PINNED_PAGE);
+        let owned = rextract_html::tokenize(PINNED_PAGE);
+        let mut s = WrapperScratch::new();
+        for (cfg, want) in [
+            (SeqConfig::with_text(), 0x3fa1_38ff_7e20_caf8_u64),
+            (SeqConfig::tags_only(), 0xbf00_7769_75fb_4b72),
+        ] {
+            assert_eq!(s.skeleton_signature(&cfg, &lexed), want);
+            assert_eq!(s.skeleton_signature(&cfg, &owned), want);
+        }
     }
 
     #[test]

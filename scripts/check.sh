@@ -9,6 +9,11 @@ echo "== cargo build --release =="
 # `rextract` binary the smoke tests below drive.
 cargo build --release --workspace
 
+echo "== cargo build --release (perfbench) =="
+# The benchmark builds against the library crates by path; building it
+# here makes a library API change that breaks it fail the gate.
+CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
